@@ -1,14 +1,15 @@
 //! Distillation kernels at the paper's 10,000-bit width: the column
 //! gather that prunes hypervectors and banks, the remapped pruned encoder,
-//! and the batch Hamming predict kernel at full vs pruned width — the
+//! and the batch Hamming top-k predict kernel at full vs pruned width — the
 //! latency side of the `reports/pareto.json` trade.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyperfex_hdc::binary::Dim;
-use hyperfex_hdc::bitmatrix::{hamming_between, BitMatrix};
+use hyperfex_hdc::bitmatrix::BitMatrix;
 use hyperfex_hdc::distill::BitSelection;
 use hyperfex_hdc::encoding::{FeatureSpec, LinearEncoder, PrunedLinearEncoder, RecordSchema};
 use hyperfex_hdc::prelude::*;
+use hyperfex_hdc::topk::top_k;
 use std::hint::black_box;
 
 /// Serving widths of the Pareto ladder exercised here.
@@ -17,6 +18,8 @@ const PRUNED_BITS: usize = 2_000;
 const BANK_ROWS: usize = 512;
 /// Queries per predict batch.
 const BATCH: usize = 16;
+/// Neighbours per query, as the serving plane votes.
+const K: usize = 5;
 
 fn bench_gather(c: &mut Criterion) {
     let dim = Dim::PAPER;
@@ -81,11 +84,11 @@ fn bench_pruned_predict(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("predict_batch16_rows512");
     g.bench_function("hamming_10k", |bch| {
-        bch.iter(|| black_box(hamming_between(black_box(&queries), black_box(&bank)).unwrap()));
+        bch.iter(|| black_box(top_k(black_box(&queries), black_box(&bank), K, None).unwrap()));
     });
     g.bench_function("hamming_pruned_2k", |bch| {
         bch.iter(|| {
-            black_box(hamming_between(black_box(&pruned_queries), black_box(&pruned_bank)).unwrap())
+            black_box(top_k(black_box(&pruned_queries), black_box(&pruned_bank), K, None).unwrap())
         });
     });
     g.finish();

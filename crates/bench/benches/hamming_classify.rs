@@ -1,6 +1,7 @@
 //! Leave-one-out Hamming classification cost on both cohorts — the paper's
-//! "most cost-effective approach" (§III-A): the entire validation is one
-//! O(n²) distance sweep.
+//! "most cost-effective approach" (§III-A): encoding plus one O(n²)
+//! distance sweep, the symmetric top-k kernel `topk::top_k_loocv` that
+//! `LeaveOneOut::run` calls.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyperfex::HammingModel;

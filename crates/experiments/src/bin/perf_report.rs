@@ -14,8 +14,9 @@ use hyperfex::experiments::{hv_features, Datasets, ExperimentConfig};
 use hyperfex::models::{make_model, ModelKind};
 use hyperfex::obs::{self, Recorder, RunReport};
 use hyperfex::prelude::*;
-use hyperfex_hdc::bitmatrix::{hamming_between, BitMatrix};
+use hyperfex_hdc::bitmatrix::BitMatrix;
 use hyperfex_hdc::classify::LeaveOneOut;
+use hyperfex_hdc::topk::top_k;
 use serde::Serialize;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -144,7 +145,7 @@ fn run(config: &ExperimentConfig, seed: u64, quick: bool) -> Result<PerfReport, 
     let outcome = LeaveOneOut::new().run(&hvs, table.labels())?;
     let loocv_secs = loocv.finish().as_secs_f64();
 
-    // Per-record encode and per-query predict latency distributions, the
+    // Per-record encode and per-query 1-NN latency distributions, the
     // latter at full width and distilled to one-fifth width (2k bits at
     // paper scale) — the serving trade `reports/pareto.json` quantifies.
     let sample_rows: Vec<usize> = (0..table.n_rows().min(LATENCY_SAMPLES)).collect();
@@ -163,7 +164,7 @@ fn run(config: &ExperimentConfig, seed: u64, quick: bool) -> Result<PerfReport, 
     for hv in hvs.iter().take(LATENCY_SAMPLES) {
         let query = BitMatrix::from_hypervectors(std::slice::from_ref(hv))?;
         let start = Instant::now();
-        black_box(hamming_between(&query, &bank)?);
+        black_box(top_k(&query, &bank, 1, None)?);
         obs::observe(
             "perf/predict_query_ns",
             LATENCY_BOUNDS_NS,
@@ -171,7 +172,7 @@ fn run(config: &ExperimentConfig, seed: u64, quick: bool) -> Result<PerfReport, 
         );
         let pruned_query = distilled.selection().gather_matrix(&query)?;
         let start = Instant::now();
-        black_box(hamming_between(&pruned_query, &pruned_bank)?);
+        black_box(top_k(&pruned_query, &pruned_bank, 1, None)?);
         obs::observe(
             "perf/pruned_predict_query_ns",
             LATENCY_BOUNDS_NS,

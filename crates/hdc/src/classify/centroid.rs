@@ -3,7 +3,6 @@
 
 use crate::binary::{BinaryHypervector, Dim};
 use crate::error::HdcError;
-use rayon::prelude::*;
 
 /// A bundled-prototype classifier.
 ///
@@ -252,9 +251,10 @@ impl CentroidClassifier {
             .collect()
     }
 
-    /// Predicts a batch in parallel.
+    /// Predicts a batch, one query after another: each query costs only
+    /// one distance per class prototype.
     pub fn predict_batch(&self, queries: &[BinaryHypervector]) -> Result<Vec<usize>, HdcError> {
-        queries.par_iter().map(|q| self.predict(q)).collect()
+        queries.iter().map(|q| self.predict(q)).collect()
     }
 
     #[inline]

@@ -2,7 +2,7 @@
 
 use crate::binary::BinaryHypervector;
 use crate::error::HdcError;
-use rayon::prelude::*;
+use crate::topk::{self, Neighbour};
 
 /// A k-NN classifier over stored hypervectors.
 ///
@@ -92,36 +92,35 @@ impl HammingKnnClassifier {
         query: &BinaryHypervector,
         exclude: usize,
     ) -> Result<usize, HdcError> {
-        if self.train.is_empty() {
-            return Err(HdcError::NotFitted);
-        }
         crate::obs::counter_add("hdc/knn_queries", 1);
-        // Collect (distance, index) of the k best neighbours with a simple
-        // bounded insertion — k is tiny (1..=15) so this beats a heap.
-        let mut best: Vec<(usize, usize)> = Vec::with_capacity(self.k + 1);
-        for (i, hv) in self.train.iter().enumerate() {
-            if i == exclude {
-                continue;
-            }
-            let d = query.try_hamming(hv)?;
-            let pos = best.partition_point(|&(bd, bi)| (bd, bi) < (d, i));
-            if pos < self.k {
-                best.insert(pos, (d, i));
-                best.truncate(self.k);
-            }
-        }
+        let train = self.train.as_slice();
+        let top = topk::top_k(std::slice::from_ref(query), train, self.k, Some(exclude))?;
+        self.vote(top.neighbours(0))
+    }
+
+    /// Predicts a batch with one kernel call ([`topk::top_k`]), which
+    /// splits the training rows across the available cores.
+    pub fn predict_batch(&self, queries: &[BinaryHypervector]) -> Result<Vec<usize>, HdcError> {
+        let _span = crate::obs::span("hdc/knn_predict_batch");
+        crate::obs::counter_add("hdc/knn_queries", queries.len() as u64);
+        let top = topk::top_k(queries, self.train.as_slice(), self.k, None)?;
+        top.iter().map(|best| self.vote(best)).collect()
+    }
+
+    /// Majority (or inverse-distance weighted) vote over the neighbours,
+    /// ties to the lowest class; [`HdcError::NotFitted`] if there are none.
+    fn vote(&self, best: &[Neighbour]) -> Result<usize, HdcError> {
         if best.is_empty() {
             return Err(HdcError::NotFitted);
         }
-        // Vote.
         let mut votes = vec![0.0f64; self.n_classes];
-        for &(d, i) in &best {
+        for n in best {
             let w = if self.weighted {
-                1.0 / (1.0 + d as f64)
+                1.0 / (1.0 + f64::from(n.distance))
             } else {
                 1.0
             };
-            votes[self.labels[i]] += w;
+            votes[self.labels[n.row]] += w;
         }
         votes
             .iter()
@@ -129,12 +128,6 @@ impl HammingKnnClassifier {
             .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
             .map(|(c, _)| c)
             .ok_or(HdcError::NotFitted)
-    }
-
-    /// Predicts a batch in parallel.
-    pub fn predict_batch(&self, queries: &[BinaryHypervector]) -> Result<Vec<usize>, HdcError> {
-        let _span = crate::obs::span("hdc/knn_predict_batch");
-        queries.par_iter().map(|q| self.predict(q)).collect()
     }
 }
 

@@ -5,14 +5,14 @@
 //! hypervector, and the confusion counts are accumulated over all patients.
 //! "Once the hypervectors are constructed there's no model that needs to be
 //! built, we only need to measure distances" — so the whole validation is
-//! one O(n²·d/64) distance sweep, which we parallelise over held-out rows
-//! with rayon (embarrassingly parallel, deterministic regardless of thread
-//! count).
+//! one O(n²·d/64) distance sweep: [`crate::topk::top_k_loocv`], which
+//! computes each unordered pair once and splits the rows across the
+//! available cores, with results identical for any thread count.
 
 use crate::binary::BinaryHypervector;
 use crate::error::HdcError;
 use crate::obs;
-use rayon::prelude::*;
+use crate::topk;
 use serde::{Deserialize, Serialize};
 
 /// Buckets for the normalized nearest-neighbour distance distribution.
@@ -48,6 +48,7 @@ impl LeaveOneOut {
 
     /// Runs leave-one-out validation and returns per-row predictions plus
     /// aggregate outcome.
+    // lint: index-ok (rows >= 2 and one label each, checked first; votes has max label + 1 slots)
     pub fn run(
         &self,
         hypervectors: &[BinaryHypervector],
@@ -65,45 +66,23 @@ impl LeaveOneOut {
             });
         }
         let dim = hypervectors[0].dim();
-        if let Some(bad) = hypervectors.iter().find(|hv| hv.dim() != dim) {
-            return Err(HdcError::DimensionMismatch {
-                left: dim.get(),
-                right: bad.dim().get(),
-            });
-        }
         let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
-        let k = self.k;
-
-        let predictions: Vec<usize> = (0..hypervectors.len())
-            .into_par_iter()
-            .map(|held_out| {
-                // Bounded insertion sort of the k best (distance, index)
-                // pairs — k is tiny, so this is cheaper than sorting all n.
-                let query = &hypervectors[held_out];
-                let mut best: Vec<(usize, usize)> = Vec::with_capacity(k + 1);
-                for (j, hv) in hypervectors.iter().enumerate() {
-                    if j == held_out {
-                        continue;
-                    }
-                    // Dims are equal: `run` validated the whole stack
-                    // against `dim` before this loop.
-                    let d = crate::bitmatrix::hamming_words(query.words(), hv.words());
-                    let pos = best.partition_point(|&(bd, bj)| (bd, bj) < (d, j));
-                    if pos < k {
-                        best.insert(pos, (d, j));
-                        best.truncate(k);
-                    }
-                }
-                if let Some(&(d, _)) = best.first() {
+        // Validates that every row shares `dim`.
+        let neighbours = topk::top_k_loocv(hypervectors, self.k)?;
+        let predictions: Vec<usize> = neighbours
+            .iter()
+            .map(|best| {
+                if let Some(nearest) = best.first() {
                     obs::observe(
                         "hdc/loocv_nn_distance",
                         NN_DISTANCE_BOUNDS,
-                        d as f64 / dim.get() as f64,
+                        // lint: cast-ok (distance and dim are <= d, far below f64's 2^53)
+                        f64::from(nearest.distance) / dim.get() as f64,
                     );
                 }
                 let mut votes = vec![0u32; n_classes];
-                for &(_, j) in &best {
-                    votes[labels[j]] += 1;
+                for n in best {
+                    votes[labels[n.row]] += 1;
                 }
                 votes
                     .iter()
@@ -144,6 +123,7 @@ pub struct LoocvOutcome {
 impl LoocvOutcome {
     /// Builds an outcome from aligned actual/predicted label slices.
     #[must_use]
+    // lint: index-ok (n_classes is raised above every actual and predicted label)
     pub fn from_predictions(actual: &[usize], predicted: &[usize], n_classes: usize) -> Self {
         let n_classes = n_classes
             .max(actual.iter().copied().max().map_or(0, |m| m + 1))
@@ -170,6 +150,7 @@ impl LoocvOutcome {
         if self.total == 0 {
             return 0.0;
         }
+        // lint: cast-ok (row counts are far below f64's exact 2^53)
         self.correct as f64 / self.total as f64
     }
 

@@ -19,8 +19,10 @@
 //! * [`classify`] — Hamming 1-NN / k-NN, nearest-centroid (class prototype)
 //!   classifiers with optional perceptron-style retraining, online
 //!   mistake-driven trainers (perceptron / passive-aggressive / LVQ) with
-//!   streaming `partial_fit`, and a leave-one-out cross-validation harness
-//!   parallelised with rayon.
+//!   streaming `partial_fit`, and a leave-one-out cross-validation harness.
+//! * [`topk`] — the one Hamming top-k kernel every k-NN path runs on: a
+//!   fused rectangular scan and a symmetric leave-one-out scan that
+//!   computes each pair once, both split across the available cores.
 //! * [`distill`] — dimension distillation: rank bit positions by class
 //!   discrimination and gather the top-k columns into a dense pruned space
 //!   for low-latency serving.
@@ -67,6 +69,7 @@ pub mod sdm;
 pub mod similarity;
 pub mod stream;
 pub mod ternary;
+pub mod topk;
 
 pub use binary::{BinaryHypervector, Dim};
 pub use bipolar::BipolarHypervector;

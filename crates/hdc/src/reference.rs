@@ -13,6 +13,7 @@ use crate::bitmatrix::BitMatrix;
 use crate::distill::BitSelection;
 use crate::encoding::LinearEncoder;
 use crate::error::HdcError;
+use crate::topk::Neighbour;
 
 /// Per-bit cyclic rotation: bit `i` of the input moves to `(i + k) % d`.
 #[must_use]
@@ -158,4 +159,32 @@ pub fn pairwise_hamming(m: &BitMatrix) -> Vec<u32> {
         }
     }
     out
+}
+
+/// Per-bit k-nearest-neighbour oracle: for every query row, the per-bit
+/// Hamming distance to every bank row except `exclude`, fully sorted in
+/// `(distance, row)` order and cut to the first `k`.
+#[must_use]
+pub fn top_k(
+    queries: &BitMatrix,
+    bank: &BitMatrix,
+    k: usize,
+    exclude: Option<usize>,
+) -> Vec<Vec<Neighbour>> {
+    (0..queries.n_rows())
+        .map(|q| {
+            let mut all: Vec<Neighbour> = (0..bank.n_rows())
+                .filter(|&row| Some(row) != exclude)
+                .map(|row| Neighbour {
+                    distance: (0..bank.dim().get())
+                        .filter(|&c| queries.get(q, c) != bank.get(row, c))
+                        .count() as u32,
+                    row,
+                })
+                .collect();
+            all.sort_unstable();
+            all.truncate(k);
+            all
+        })
+        .collect()
 }

@@ -6,7 +6,8 @@ use crate::linalg::Matrix;
 use crate::traits::{
     validate_fit_inputs, validate_packed_fit_inputs, Estimator, Features, ProbabilisticEstimator,
 };
-use hyperfex_hdc::bitmatrix::{hamming_between, BitMatrix};
+use hyperfex_hdc::bitmatrix::BitMatrix;
+use hyperfex_hdc::topk::{top_k, Neighbour};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +43,7 @@ impl Default for KnnParams {
 /// Fitting on [`Features::Packed`] stores the training set in bit-packed
 /// form: on 0/1 features squared Euclidean distance *equals* Hamming
 /// distance, so neighbour search runs on integer popcounts
-/// ([`hamming_between`]) and reproduces the dense predictions bit-exactly
+/// ([`top_k`]) and reproduces the dense predictions bit-exactly
 /// (f32 represents every distance ≤ 2²⁴ exactly, and integer ties order
 /// the same way as their f32 images).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -88,7 +89,7 @@ impl KnnClassifier {
                     best.truncate(k);
                 }
             }
-            return Ok(self.tally(&best));
+            return Ok(self.tally(best.iter().map(|&(d, i)| (f64::from(d), i))));
         }
         let x = self.x.as_ref().ok_or(MlError::NotFitted)?;
         if row.len() != x.n_cols() {
@@ -107,39 +108,19 @@ impl KnnClassifier {
                 best.truncate(k);
             }
         }
-        Ok(self.tally(&best))
+        Ok(self.tally(best.iter().map(|&(d, i)| (f64::from(d), i))))
     }
 
-    fn tally(&self, best: &[(f32, usize)]) -> Vec<f64> {
+    /// Votes of the nearest training rows, given as `(squared distance,
+    /// row)`. Packed Hamming distances are exact integers below 2²⁴, so
+    /// they equal their f32 images and the packed path votes exactly as
+    /// the dense one.
+    fn tally(&self, best: impl IntoIterator<Item = (f64, usize)>) -> Vec<f64> {
         let mut votes = vec![0.0f64; self.n_classes];
-        for &(d, i) in best {
+        for (d, i) in best {
             let w = match self.params.weights {
                 KnnWeights::Uniform => 1.0,
-                KnnWeights::Distance => 1.0 / (f64::from(d).sqrt() + 1e-12),
-            };
-            votes[self.y[i]] += w;
-        }
-        votes
-    }
-
-    /// Votes for one packed query given its precomputed Hamming distances
-    /// to every training row. Distances are exact integers, so the f32
-    /// image of each is exact too and the (distance, index) insertion
-    /// order matches the dense path bit-for-bit.
-    fn tally_hamming(&self, dists: &[u32], k: usize) -> Vec<f64> {
-        let mut best: Vec<(u32, usize)> = Vec::with_capacity(k + 1);
-        for (i, &d) in dists.iter().enumerate() {
-            let pos = best.partition_point(|&(bd, bi)| bd < d || (bd == d && bi < i));
-            if pos < k {
-                best.insert(pos, (d, i));
-                best.truncate(k);
-            }
-        }
-        let mut votes = vec![0.0f64; self.n_classes];
-        for &(d, i) in &best {
-            let w = match self.params.weights {
-                KnnWeights::Uniform => 1.0,
-                KnnWeights::Distance => 1.0 / (f64::from(d).sqrt() + 1e-12),
+                KnnWeights::Distance => 1.0 / (d.sqrt() + 1e-12),
             };
             votes[self.y[i]] += w;
         }
@@ -220,18 +201,18 @@ impl Estimator for KnnClassifier {
     fn predict_features(&self, x: &Features<'_>) -> Result<Vec<usize>, MlError> {
         match (x, &self.packed) {
             (Features::Packed(q), Some(train)) => {
-                // Fully packed: one rectangular popcount pass gives every
-                // query×train Hamming distance, then the usual vote.
-                let dists = hamming_between(q, train).map_err(|_| MlError::ShapeMismatch {
-                    expected: format!("{} features", train.dim().get()),
-                    got: format!("{} features", q.dim().get()),
-                })?;
-                let n = train.n_rows();
-                let k = self.params.k.min(n);
-                Ok(dists
-                    .par_chunks(n)
-                    .map(|row| Self::argmax(&self.tally_hamming(row, k)))
-                    .collect())
+                // Fully packed: one fused popcount top-k pass, then the
+                // usual vote.
+                let top =
+                    top_k(*q, train, self.params.k, None).map_err(|_| MlError::ShapeMismatch {
+                        expected: format!("{} features", train.dim().get()),
+                        got: format!("{} features", q.dim().get()),
+                    })?;
+                let vote = |best: &[Neighbour]| {
+                    let best = best.iter().map(|n| (f64::from(n.distance), n.row));
+                    Self::argmax(&self.tally(best))
+                };
+                Ok(top.iter().map(vote).collect())
             }
             (Features::Packed(q), None) => self.predict(&crate::traits::densify(q)),
             (Features::Dense(m), _) => self.predict(m),

@@ -16,9 +16,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use hyperfex_hdc::binary::Dim;
-use hyperfex_hdc::bitmatrix::{hamming_between, BitMatrix};
+#[cfg(test)]
+use hyperfex_hdc::bitmatrix::hamming_between;
+use hyperfex_hdc::bitmatrix::BitMatrix;
 use hyperfex_hdc::classify::ClassAccumulators;
 use hyperfex_hdc::distill::BitSelection;
+use hyperfex_hdc::topk::{top_k, Neighbour};
 use hyperfex_hdc::{failpoint, BinaryHypervector};
 
 use crate::error::ServeError;
@@ -679,72 +682,46 @@ impl HvStore {
             }));
         }
 
-        // Each shard computes its own per-query top-k independently on a
-        // rayon worker; every spawned task owns exactly one pre-allocated
-        // output slot, so the region shares nothing mutable. The serial
-        // merge below then keeps the k globally smallest candidate tuples
-        // per query — identical to folding shards one by one, because both
-        // are "the k smallest elements" of the same candidate multiset and
-        // the (distance, shard, row, label) tuple order makes every
-        // candidate distinct. Shard scheduling order therefore cannot
-        // change the result.
-        let n_queries = queries.len();
-        let mut shard_tops: Vec<Result<Vec<Vec<Candidate>>, ServeError>> = Vec::new();
-        shard_tops.resize_with(self.shards.len(), || Ok(Vec::new()));
-        let query_matrix = &query_matrix;
-        rayon::scope(|s| {
-            for (slot, shard) in shard_tops.iter_mut().zip(&self.shards) {
-                s.spawn(move |_| {
-                    *slot = Self::shard_candidates(query_matrix, shard, k, n_queries);
-                });
-            }
-        });
-
-        // Per-query top-k candidates as (distance, shard, row, label),
-        // kept sorted ascending; the tuple order is the tie-break order.
-        let mut best: Vec<Vec<Candidate>> = vec![Vec::with_capacity(k + 1); n_queries];
-        for tops in shard_tops {
-            for (heap, shard_heap) in best.iter_mut().zip(tops?) {
-                heap.extend(shard_heap);
-            }
-        }
-        for heap in &mut best {
-            heap.sort_unstable();
-            heap.truncate(k);
-        }
-
-        Ok(best.iter().map(|heap| Self::vote(heap)).collect())
+        // One kernel call scans every shard: it numbers rows consecutively
+        // across the shards and splits them into at most
+        // `current_num_threads()` shares, one on this thread. Shards are
+        // kept in ascending index order, so the kernel's (distance, row)
+        // order is the (distance, shard, row, label) candidate order and
+        // each list is the k smallest candidates of the whole store.
+        debug_assert!(self
+            .shards
+            .windows(2)
+            .all(|w| w[0].shard_index < w[1].shard_index));
+        let banks: Vec<&BitMatrix> = self.shards.iter().map(|s| &s.bank).collect();
+        let top = top_k(&query_matrix, banks.as_slice(), k, None)?;
+        let starts: Vec<usize> = self
+            .shards
+            .iter()
+            .scan(0, |next, s| {
+                Some(std::mem::replace(next, *next + s.bank.n_rows()))
+            })
+            .collect();
+        Ok(top
+            .iter()
+            .map(|nearest| {
+                let candidates: Vec<Candidate> =
+                    nearest.iter().map(|n| self.candidate(&starts, n)).collect();
+                Self::vote(&candidates)
+            })
+            .collect())
     }
 
-    /// One shard's sorted per-query top-k candidate lists — the unit of
-    /// work a rayon task computes in [`HvStore::predict_batch`].
-    fn shard_candidates(
-        query_matrix: &BitMatrix,
-        shard: &ShardRecord,
-        k: usize,
-        n_queries: usize,
-    ) -> Result<Vec<Vec<Candidate>>, ServeError> {
-        let rows = shard.bank.n_rows();
-        let distances = hamming_between(query_matrix, &shard.bank)?;
-        let mut tops: Vec<Vec<Candidate>> = vec![Vec::with_capacity(k + 1); n_queries];
-        for (qi, row_distances) in distances.chunks(rows.max(1)).enumerate() {
-            let Some(heap) = tops.get_mut(qi) else {
-                continue;
-            };
-            for (row, &distance) in row_distances.iter().enumerate() {
-                let worst = heap.last().map_or(u32::MAX, |c| c.0);
-                if heap.len() == k && distance >= worst {
-                    continue;
-                }
-                let label = shard.labels.get(row).copied().unwrap_or(0);
-                let row_u32 = u32::try_from(row).unwrap_or(u32::MAX);
-                let candidate = (distance, shard.shard_index, row_u32, label);
-                let at = heap.partition_point(|c| *c <= candidate);
-                heap.insert(at, candidate);
-                heap.truncate(k);
-            }
-        }
-        Ok(tops)
+    /// Maps a neighbour numbered across all shards (`starts` holds each
+    /// shard's first row) to its `(distance, shard, row, label)` candidate.
+    fn candidate(&self, starts: &[usize], n: &Neighbour) -> Candidate {
+        let at = starts.partition_point(|&s| s <= n.row).saturating_sub(1);
+        let (Some(shard), Some(start)) = (self.shards.get(at), starts.get(at)) else {
+            return (n.distance, u32::MAX, u32::MAX, 0);
+        };
+        let row = n.row - start;
+        let label = shard.labels.get(row).copied().unwrap_or(0);
+        let row = u32::try_from(row).unwrap_or(u32::MAX);
+        (n.distance, shard.shard_index, row, label)
     }
 
     /// Majority vote over one query's sorted candidate list; ties go to
