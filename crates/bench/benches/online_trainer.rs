@@ -7,7 +7,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hyperfex::HdcFeatureExtractor;
 use hyperfex_hdc::binary::{BinaryHypervector, Dim};
 use hyperfex_hdc::classify::{
-    fit_pocketed, LvqTrainer, OnlineTrainer, PassiveAggressiveTrainer, PerceptronTrainer,
+    fit_pocketed, ClassAccumulators, LvqTrainer, OnlineTrainer, PassiveAggressiveTrainer,
+    PerceptronTrainer,
 };
 use hyperfex_hdc::rng::SplitMix64;
 use std::hint::black_box;
@@ -72,9 +73,29 @@ fn bench_fit_pocketed(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_accumulator_add(c: &mut Criterion) {
+    // Bulk accumulation, the path a store build, an append or a
+    // distillation fit takes: 4,096 paper-dimension rows into two classes,
+    // then one read of each prototype.
+    let records = stream(4_096);
+    let mut g = c.benchmark_group("accumulator_10k");
+    g.sample_size(10);
+    g.bench_function("add_4096", |b| {
+        b.iter(|| {
+            let mut acc = ClassAccumulators::new(Dim::PAPER);
+            acc.grow(1);
+            for (hv, label) in &records {
+                acc.add(*label, hv, 1);
+            }
+            black_box((acc.prototype(0).cloned(), acc.prototype(1).cloned()))
+        });
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_single_update, bench_fit_pocketed
+    targets = bench_single_update, bench_fit_pocketed, bench_accumulator_add
 }
 criterion_main!(benches);

@@ -1,7 +1,8 @@
 //! Streaming encode throughput at the paper's dimensionality: the same
 //! cohort pushed through `StreamEncoder` (O(dim) resident state) versus
 //! the materializing `encode_batch` path, plus the incremental
-//! `HvStore::append_batch` ingest the stream feeds. The `bench-compare`
+//! `HvStore::append_batch` ingest the stream feeds, and the snapshot
+//! checksum every rolling save runs over its files. The `bench-compare`
 //! gate tracks these medians, so the single-pass pipeline cannot quietly
 //! lose its throughput parity with batch encode.
 
@@ -66,9 +67,21 @@ fn bench_stream_encode(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_snapshot_crc(c: &mut Criterion) {
+    // The per-section snapshot checksum over 1 MB, about two full shards
+    // of the serving store's 2,048-bit bank.
+    let mut rng = SplitMix64::new(13);
+    let bytes: Vec<u8> = (0..1 << 20).map(|_| rng.next_u64() as u8).collect();
+    let mut g = c.benchmark_group("snapshot");
+    g.bench_function("crc32_1mb", |b| {
+        b.iter(|| black_box(hyperfex_serve::snapshot::crc32(black_box(&bytes))));
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_stream_encode
+    targets = bench_stream_encode, bench_snapshot_crc
 }
 criterion_main!(benches);

@@ -30,7 +30,7 @@ use std::fmt;
 pub struct BitMatrix {
     n_rows: usize,
     dim: Dim,
-    words: Box<[u64]>,
+    words: Vec<u64>,
 }
 
 impl BitMatrix {
@@ -40,7 +40,7 @@ impl BitMatrix {
         Self {
             n_rows,
             dim,
-            words: vec![0u64; n_rows * dim.words()].into_boxed_slice(),
+            words: vec![0u64; n_rows * dim.words()],
         }
     }
 
@@ -64,7 +64,7 @@ impl BitMatrix {
             }
         }
         let wpr = dim.words();
-        let mut words = vec![0u64; hypervectors.len() * wpr].into_boxed_slice();
+        let mut words = vec![0u64; hypervectors.len() * wpr];
         for (dst, hv) in words.chunks_mut(wpr).zip(hypervectors) {
             dst.copy_from_slice(hv.words());
         }
@@ -101,11 +101,25 @@ impl BitMatrix {
                 )));
             }
         }
-        Ok(Self {
-            n_rows,
-            dim,
-            words: words.into_boxed_slice(),
-        })
+        Ok(Self { n_rows, dim, words })
+    }
+
+    /// Appends `hv` as a new last row. The word buffer grows in place
+    /// (amortised), so filling a matrix row by row never re-copies the
+    /// rows already stored.
+    ///
+    /// Returns an error when `hv`'s dimensionality differs from the
+    /// matrix's.
+    pub fn push_row(&mut self, hv: &BinaryHypervector) -> Result<(), HdcError> {
+        if hv.dim() != self.dim {
+            return Err(HdcError::DimensionMismatch {
+                left: self.dim.get(),
+                right: hv.dim().get(),
+            });
+        }
+        self.words.extend_from_slice(hv.words());
+        self.n_rows += 1;
+        Ok(())
     }
 
     /// The full packed storage buffer, row-major (`n_rows * dim.words()`
@@ -205,7 +219,7 @@ impl BitMatrix {
     #[must_use]
     pub fn select_rows(&self, indices: &[usize]) -> Self {
         let wpr = self.dim.words();
-        let mut words = vec![0u64; indices.len() * wpr].into_boxed_slice();
+        let mut words = vec![0u64; indices.len() * wpr];
         for (dst, &i) in words.chunks_mut(wpr).zip(indices) {
             dst.copy_from_slice(self.row_words(i));
         }
@@ -222,7 +236,10 @@ impl BitMatrix {
     /// Panics if `r >= self.n_rows()`.
     #[must_use]
     pub fn row_hypervector(&self, r: usize) -> BinaryHypervector {
-        BinaryHypervector::collect_bits(self.dim, (0..self.dim.get()).map(|c| self.get(r, c)))
+        let mut hv = BinaryHypervector::zeros(self.dim);
+        hv.words_mut().copy_from_slice(self.row_words(r));
+        debug_assert_tail_invariant(self.dim, hv.words());
+        hv
     }
 
     /// The transposed matrix: `dim` rows of `n_rows` bits, so that each
@@ -454,6 +471,22 @@ mod tests {
             }
             assert_eq!(m.row_hypervector(r), *hv);
         }
+    }
+
+    #[test]
+    fn push_row_grows_into_the_packed_matrix() {
+        let hvs = random_stack(9, 130, 3);
+        let mut m = BitMatrix::zeros(0, Dim::new(130));
+        for hv in &hvs {
+            m.push_row(hv).unwrap();
+        }
+        assert_eq!(m, BitMatrix::from_hypervectors(&hvs).unwrap());
+        let narrow = BinaryHypervector::zeros(Dim::new(64));
+        assert!(matches!(
+            m.push_row(&narrow),
+            Err(HdcError::DimensionMismatch { .. })
+        ));
+        assert_eq!(m.n_rows(), 9);
     }
 
     #[test]

@@ -8,26 +8,39 @@
 //! still quantise to 1, bit-identical to [`CentroidClassifier`]'s rule.
 //!
 //! Storing set-counts instead of full ±1 superpositions is what makes the
-//! online path fast: an update touches only the *set* bits of the incoming
-//! hypervector (word-level `trailing_zeros` scatter over ~d/2 bits) plus a
-//! single scalar, instead of all `d` counters.
+//! online path fast: an update touches the incoming hypervector's words
+//! (a branch-free per-bit scatter over each full word) plus a single
+//! scalar, instead of all `d` counters of every class.
+//!
+//! Prototypes are derived state, computed lazily: an update only clears the
+//! touched class's cached prototype, and the next read requantises it. Bulk
+//! accumulation (a store build, an append, a distillation fit) therefore
+//! pays for the data, not for one requantisation per record.
 //!
 //! [`CentroidClassifier`]: crate::classify::CentroidClassifier
 
-use crate::binary::{BinaryHypervector, Dim};
+use std::sync::OnceLock;
+
+use serde::{Deserialize, Serialize};
+
+use crate::binary::{debug_assert_tail_invariant, BinaryHypervector, Dim, WORD_BITS};
 use crate::error::HdcError;
 
 /// Integer class superpositions with per-class quantised prototypes.
 ///
 /// Invariant: `ones`, `totals` and `prototypes` always have the same
-/// length, every `ones[c]` has `dim` entries, and `prototypes[c]` is the
-/// quantisation of class `c`'s current accumulator state.
+/// length, every `ones[c]` has `dim` entries, and a filled `prototypes[c]`
+/// is the quantisation of class `c`'s current accumulator state (an empty
+/// slot is requantised on its next read).
+///
+/// Equality and serialization see only the accumulator state — `dim`,
+/// `ones` and `totals` — never which prototypes happen to be cached.
 ///
 /// The type is public so serving-plane stores can snapshot trainer state:
 /// [`ClassAccumulators::parts`] exposes the raw integer accumulators for
-/// serialization and [`ClassAccumulators::from_parts`] revalidates and
-/// requantises them on load.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// serialization and [`ClassAccumulators::from_parts`] revalidates them on
+/// load.
+#[derive(Debug, Clone)]
 pub struct ClassAccumulators {
     dim: Dim,
     /// Per class, per bit: signed sum of weights of contributions whose
@@ -35,8 +48,47 @@ pub struct ClassAccumulators {
     ones: Vec<Vec<i32>>,
     /// Per class: signed sum of all contribution weights.
     totals: Vec<i32>,
-    /// Quantised prototypes, requantised per touched class.
-    prototypes: Vec<BinaryHypervector>,
+    /// Per class: the quantised prototype, filled on first read and
+    /// cleared by every `add` to that class.
+    prototypes: Vec<OnceLock<BinaryHypervector>>,
+}
+
+impl PartialEq for ClassAccumulators {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim && self.ones == other.ones && self.totals == other.totals
+    }
+}
+
+impl Eq for ClassAccumulators {}
+
+/// Emits `dim`, `ones`, `totals` and the (forced) `prototypes`, the same
+/// JSON the eager representation serialized.
+impl Serialize for ClassAccumulators {
+    fn to_value(&self) -> serde::Value {
+        let prototypes: Vec<&BinaryHypervector> = self.prototypes().collect();
+        serde::Value::Map(vec![
+            ("dim".to_string(), self.dim.to_value()),
+            ("ones".to_string(), self.ones.to_value()),
+            ("totals".to_string(), self.totals.to_value()),
+            ("prototypes".to_string(), prototypes.to_value()),
+        ])
+    }
+}
+
+/// Revalidates through [`ClassAccumulators::from_parts`]; serialized
+/// prototypes are ignored and requantised on demand.
+impl Deserialize for ClassAccumulators {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let field = |name: &str| {
+            v.get_field(name).ok_or_else(|| {
+                serde::DeError(format!("missing field `{name}` of ClassAccumulators"))
+            })
+        };
+        let dim = Dim::from_value(field("dim")?)?;
+        let ones = Vec::from_value(field("ones")?)?;
+        let totals = Vec::from_value(field("totals")?)?;
+        Self::from_parts(dim, ones, totals).map_err(|e| serde::DeError(e.to_string()))
+    }
 }
 
 impl ClassAccumulators {
@@ -89,53 +141,50 @@ impl ClassAccumulators {
         if label >= self.ones.len() {
             self.ones.resize(label + 1, vec![0i32; self.dim.get()]);
             self.totals.resize(label + 1, 0);
-            self.prototypes
-                .resize(label + 1, BinaryHypervector::ones(self.dim));
+            self.prototypes.resize_with(label + 1, OnceLock::new);
         }
     }
 
-    /// Adds `hv` to class `class` with signed `weight` and requantises that
-    /// class's prototype (only that one — classes quantise independently).
+    /// Adds `hv` to class `class` with signed `weight` and clears that
+    /// class's cached prototype (only that one — classes quantise
+    /// independently); the next read requantises it.
     ///
-    /// The scatter loop walks set bits word-by-word with `trailing_zeros`,
-    /// so an update costs O(popcount + words) rather than O(d).
+    /// Each full word scatters branch-free into its 64 counters, in two
+    /// 32-bit halves the compiler vectorises; the partial tail word walks
+    /// its set bits with `trailing_zeros`. An update costs O(d) adds with
+    /// no data-dependent branch and no allocation.
     pub fn add(&mut self, class: usize, hv: &BinaryHypervector, weight: i32) {
         debug_assert!(class < self.ones.len(), "grow() must precede add()");
-        let Some(ones) = self.ones.get_mut(class) else {
+        let (Some(ones), Some(total), Some(prototype)) = (
+            self.ones.get_mut(class),
+            self.totals.get_mut(class),
+            self.prototypes.get_mut(class),
+        ) else {
             return;
         };
-        for (word_idx, &word) in hv.words().iter().enumerate() {
-            let base = word_idx * 64;
-            let mut mask = word;
-            while mask != 0 {
-                let bit = mask.trailing_zeros() as usize;
-                // lint: index-ok (set-bit positions are < dim by the
-                // tail-word invariant, and ones has exactly dim entries)
-                ones[base + bit] += weight;
-                mask &= mask - 1;
-            }
-        }
-        if let Some(total) = self.totals.get_mut(class) {
-            *total += weight;
-        }
-        self.requantize_class(class);
+        scatter_add(ones, hv.words(), weight);
+        *total += weight;
+        prototype.take();
     }
 
-    /// Rebuilds the quantised prototype of one class from its accumulators.
-    fn requantize_class(&mut self, class: usize) {
-        let (Some(ones), Some(&total)) = (self.ones.get(class), self.totals.get(class)) else {
-            return;
-        };
-        let proto = BinaryHypervector::collect_bits(self.dim, ones.iter().map(|&o| 2 * o >= total));
-        if let Some(slot) = self.prototypes.get_mut(class) {
-            *slot = proto;
-        }
-    }
-
-    /// The quantised prototype of `class`, if allocated.
+    /// The quantised prototype of `class`, if allocated; requantised on
+    /// the first read after an update.
     #[must_use]
     pub fn prototype(&self, class: usize) -> Option<&BinaryHypervector> {
-        self.prototypes.get(class)
+        let (slot, ones, &total) = (
+            self.prototypes.get(class)?,
+            self.ones.get(class)?,
+            self.totals.get(class)?,
+        );
+        Some(slot.get_or_init(|| quantize(self.dim, ones, total)))
+    }
+
+    /// Every class prototype in class order, requantising stale ones.
+    fn prototypes(&self) -> impl Iterator<Item = &BinaryHypervector> {
+        self.prototypes
+            .iter()
+            .zip(self.ones.iter().zip(&self.totals))
+            .map(|(slot, (ones, &total))| slot.get_or_init(|| quantize(self.dim, ones, total)))
     }
 
     /// Hamming distance from `query` to every class prototype.
@@ -143,10 +192,7 @@ impl ClassAccumulators {
         if self.prototypes.is_empty() {
             return Err(HdcError::NotFitted);
         }
-        self.prototypes
-            .iter()
-            .map(|p| query.try_hamming(p))
-            .collect()
+        self.prototypes().map(|p| query.try_hamming(p)).collect()
     }
 
     /// Nearest-prototype prediction; ties break to the lowest class index,
@@ -158,7 +204,7 @@ impl ClassAccumulators {
             return Err(HdcError::NotFitted);
         }
         let mut best = (usize::MAX, 0usize);
-        for (c, proto) in self.prototypes.iter().enumerate() {
+        for (c, proto) in self.prototypes().enumerate() {
             let d = query.try_hamming(proto)?;
             if d < best.0 {
                 best = (d, c);
@@ -180,7 +226,7 @@ impl ClassAccumulators {
     /// Rebuilds an accumulator set from raw parts, revalidating every
     /// invariant: `ones` and `totals` must have the same class count and
     /// every per-class count vector must have exactly `dim` entries.
-    /// Prototypes are requantised from scratch.
+    /// Prototypes are requantised on first read.
     pub fn from_parts(dim: Dim, ones: Vec<Vec<i32>>, totals: Vec<i32>) -> Result<Self, HdcError> {
         if ones.len() != totals.len() {
             return Err(HdcError::InvalidConfig(format!(
@@ -189,28 +235,67 @@ impl ClassAccumulators {
                 totals.len()
             )));
         }
-        if let Some(bad) = ones.iter().position(|o| o.len() != dim.get()) {
+        if let Some((bad, counts)) = ones.iter().enumerate().find(|(_, o)| o.len() != dim.get()) {
             return Err(HdcError::InvalidConfig(format!(
                 "accumulator class {bad} has {} per-bit counts, expected dim {dim}",
-                ones[bad].len()
+                counts.len()
             )));
         }
-        let mut acc = Self {
+        let mut prototypes = Vec::new();
+        prototypes.resize_with(ones.len(), OnceLock::new);
+        Ok(Self {
             dim,
             ones,
             totals,
-            prototypes: Vec::new(),
-        };
-        acc.prototypes = (0..acc.ones.len())
-            .map(|c| {
-                // lint: index-ok (c < ones.len() by the range above, and
-                // every ones[c] has dim entries by the validation above)
-                let (ones, total) = (&acc.ones[c], acc.totals[c]);
-                BinaryHypervector::collect_bits(dim, ones.iter().map(|&o| 2 * o >= total))
-            })
-            .collect();
-        Ok(acc)
+            prototypes,
+        })
     }
+}
+
+/// `ones[i] += weight` for every set bit `i` of `words`.
+///
+/// Full words take a branch-free scatter: each 32-bit half adds
+/// `bit · weight` to its 32 counters, a fixed-trip loop the compiler turns
+/// into vector shifts, masks and adds. Only a partial tail word (dim not a
+/// multiple of 64) walks its set bits with `trailing_zeros`.
+fn scatter_add(ones: &mut [i32], words: &[u64], weight: i32) {
+    let full_words = ones.len() / WORD_BITS;
+    let mut full = ones.chunks_exact_mut(WORD_BITS);
+    for (counts, &word) in (&mut full).zip(words) {
+        // lint: cast-ok (truncation keeps the low 32 bits, the shift the high 32)
+        let halves = [word as u32, (word >> 32) as u32];
+        for (half_counts, half) in counts.chunks_exact_mut(32).zip(halves) {
+            for (j, count) in half_counts.iter_mut().enumerate() {
+                // lint: cast-ok (a single bit, 0 or 1)
+                *count += ((half >> j) & 1) as i32 * weight;
+            }
+        }
+    }
+    let tail = full.into_remainder();
+    if let Some(&word) = words.get(full_words) {
+        let mut mask = word;
+        while mask != 0 {
+            if let Some(count) = tail.get_mut(mask.trailing_zeros() as usize) {
+                *count += weight;
+            }
+            mask &= mask - 1;
+        }
+    }
+}
+
+/// The quantised prototype of one class: bit `i` is `2·ones[i] ≥ total`,
+/// packed a word at a time.
+fn quantize(dim: Dim, ones: &[i32], total: i32) -> BinaryHypervector {
+    let mut hv = BinaryHypervector::zeros(dim);
+    for (word, counts) in hv.words_mut().iter_mut().zip(ones.chunks(WORD_BITS)) {
+        *word = counts
+            .iter()
+            .enumerate()
+            .fold(0u64, |w, (j, &o)| w | (u64::from(2 * o >= total) << j));
+    }
+    // Counters exist only below dim, so no tail bit was set.
+    debug_assert_tail_invariant(dim, hv.words());
+    hv
 }
 
 #[cfg(test)]

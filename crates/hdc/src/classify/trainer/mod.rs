@@ -51,9 +51,9 @@ use crate::failpoint;
 /// A streaming prototype trainer over packed binary hypervectors.
 ///
 /// Implementations keep integer class accumulators and quantised
-/// prototypes; `update` applies one record's correction and requantises
-/// only the touched classes, so single-record latency is microseconds even
-/// at the paper's d = 10 000.
+/// prototypes; `update` applies one record's correction and marks only the
+/// touched classes for requantisation on their next read, so single-record
+/// latency is microseconds even at the paper's d = 10 000.
 pub trait OnlineTrainer {
     /// Short human-readable rule name (e.g. `"perceptron"`).
     fn name(&self) -> &'static str;

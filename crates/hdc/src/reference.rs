@@ -188,3 +188,73 @@ pub fn top_k(
         })
         .collect()
 }
+
+/// Eager class-accumulator oracle: the per-class ones/total state of
+/// [`crate::classify::ClassAccumulators`] with the opposite cost model.
+/// Every [`EagerAccumulators::add`] walks the set bits one at a time with
+/// `trailing_zeros` and requantises the class's prototype bit by bit on
+/// the spot, so the lazy cache and the word-parallel scatter can be
+/// checked against it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EagerAccumulators {
+    dim: crate::binary::Dim,
+    ones: Vec<Vec<i32>>,
+    totals: Vec<i32>,
+    prototypes: Vec<BinaryHypervector>,
+}
+
+impl EagerAccumulators {
+    /// An empty accumulator set for `dim`-bit hypervectors.
+    #[must_use]
+    pub fn new(dim: crate::binary::Dim) -> Self {
+        Self {
+            dim,
+            ones: Vec::new(),
+            totals: Vec::new(),
+            prototypes: Vec::new(),
+        }
+    }
+
+    /// Grows the class set so `label` is addressable; a zero class
+    /// quantises to all-ones (the `0 ≥ 0` tie).
+    pub fn grow(&mut self, label: usize) {
+        while self.ones.len() <= label {
+            self.ones.push(vec![0; self.dim.get()]);
+            self.totals.push(0);
+            self.prototypes.push(BinaryHypervector::ones(self.dim));
+        }
+    }
+
+    /// Adds `hv` to `class` with signed `weight`, walking set bits, then
+    /// requantises that class: bit `i` is `2·ones[i] ≥ total`.
+    pub fn add(&mut self, class: usize, hv: &BinaryHypervector, weight: i32) {
+        for (word_idx, &word) in hv.words().iter().enumerate() {
+            let mut mask = word;
+            while mask != 0 {
+                self.ones[class][word_idx * 64 + mask.trailing_zeros() as usize] += weight;
+                mask &= mask - 1;
+            }
+        }
+        self.totals[class] += weight;
+        let total = self.totals[class];
+        let mut proto = BinaryHypervector::zeros(self.dim);
+        for (i, &count) in self.ones[class].iter().enumerate() {
+            if 2 * count >= total {
+                proto.set(i, true);
+            }
+        }
+        self.prototypes[class] = proto;
+    }
+
+    /// The per-class set-bit counts and totals.
+    #[must_use]
+    pub fn parts(&self) -> (&[Vec<i32>], &[i32]) {
+        (&self.ones, &self.totals)
+    }
+
+    /// The quantised prototype of `class`, if allocated.
+    #[must_use]
+    pub fn prototype(&self, class: usize) -> Option<&BinaryHypervector> {
+        self.prototypes.get(class)
+    }
+}

@@ -486,6 +486,9 @@ impl<'a> StreamEncoder<'a> {
         let mut seen = 0usize;
         let mut absorbed = 0usize;
         let mut entries: Vec<QuarantineEntry> = Vec::new();
+        // Read once: asking the OS for the affinity mask and cgroup quota
+        // costs tens of microseconds, a large share of a micro-batch.
+        let threads = rayon::current_num_threads().max(1);
 
         loop {
             // Fill the next micro-batch.
@@ -509,7 +512,7 @@ impl<'a> StreamEncoder<'a> {
             // each with a persistent scratch slot. Matches the chunking
             // of the batch encode paths, so results are thread-count
             // independent.
-            let chunk_len = filled.div_ceil(rayon::current_num_threads().max(1));
+            let chunk_len = filled.div_ceil(threads);
             let n_chunks = filled.div_ceil(chunk_len);
             if scratches.len() < n_chunks {
                 let dim = self.encoder.dim();
@@ -518,40 +521,64 @@ impl<'a> StreamEncoder<'a> {
             let mut slots: Vec<Vec<Result<BinaryHypervector, HdcError>>> = Vec::new();
             slots.resize_with(n_chunks, Vec::new);
             let encoder = self.encoder;
-            rayon::scope(|s| {
-                for ((slot, scratch), chunk) in slots
-                    .iter_mut()
-                    .zip(scratches.iter_mut())
-                    .zip(rows[..filled].chunks(chunk_len))
-                {
-                    s.spawn(move |_| {
-                        *slot = chunk
-                            .iter()
-                            .map(|row| encoder.encode_record_with(row, scratch))
-                            .collect();
-                    });
-                }
-            });
+            let encode = |slot: &mut Vec<_>, scratch: &mut RecordScratch, chunk: &[Vec<f64>]| {
+                *slot = chunk
+                    .iter()
+                    .map(|row| encoder.encode_record_with(row, scratch))
+                    .collect();
+            };
 
             // Drain in stream order on this thread. The failpoint seam is
             // sequential, so windowed fault rules replay byte-identically.
-            let mut aborted: Option<HdcError> = None;
-            for (result, &label) in slots.into_iter().flatten().zip(&labels[..filled]) {
-                let seq = seen;
-                seen += 1;
-                match failpoint::check("hdc/stream_encode").and(result) {
-                    Ok(hv) => {
-                        sink.absorb(seq, label, &hv)?;
-                        absorbed += 1;
-                    }
-                    Err(error) => {
-                        entries.push(QuarantineEntry { row: seq, error: error.clone() });
-                        if strict {
-                            aborted = Some(error);
-                            break;
+            // Returns the error that aborts a strict stream.
+            let mut drain = |results: Vec<Result<BinaryHypervector, HdcError>>,
+                             labels: &[usize]|
+             -> Result<Option<HdcError>, HdcError> {
+                for (result, &label) in results.into_iter().zip(labels) {
+                    let seq = seen;
+                    seen += 1;
+                    match failpoint::check("hdc/stream_encode").and(result) {
+                        Ok(hv) => {
+                            sink.absorb(seq, label, &hv)?;
+                            absorbed += 1;
+                        }
+                        Err(error) => {
+                            entries.push(QuarantineEntry {
+                                row: seq,
+                                error: error.clone(),
+                            });
+                            if strict {
+                                return Ok(Some(error));
+                            }
                         }
                     }
                 }
+                Ok(None)
+            };
+
+            // This thread encodes and drains the first chunk while the
+            // workers encode the rest, so the drain overlaps their work.
+            let (labels_first, labels_rest) = labels[..filled].split_at(chunk_len.min(filled));
+            let mut jobs = slots
+                .iter_mut()
+                .zip(scratches.iter_mut())
+                .zip(rows[..filled].chunks(chunk_len));
+            let first = jobs.next();
+            let mut aborted = rayon::scope(|s| {
+                for ((slot, scratch), chunk) in jobs {
+                    s.spawn(move |_| encode(slot, scratch, chunk));
+                }
+                match first {
+                    Some(((slot, scratch), chunk)) => {
+                        encode(slot, scratch, chunk);
+                        drain(std::mem::take(slot), labels_first)
+                    }
+                    None => Ok(None),
+                }
+            })?;
+            if aborted.is_none() {
+                let rest = slots.into_iter().skip(1).flatten().collect();
+                aborted = drain(rest, labels_rest)?;
             }
 
             // The watermark models the pipeline's resident buffers: the

@@ -71,11 +71,16 @@ pub const ACCUMS_FILE_NAME: &str = "accums.hfex";
 pub const SELECTION_FILE_NAME: &str = "selection.hfex";
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, reflected), table built at compile time.
+// CRC32 (IEEE 802.3 polynomial, reflected), slicing-by-8, tables built at
+// compile time.
 // ---------------------------------------------------------------------------
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, so eight table
+/// lookups advance the checksum over eight input bytes at once.
+// lint: index-ok (i < 256 and k < 8 by the loop bounds; prev & 0xFF < 256)
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         // lint: cast-ok (i < 256 fits u32)
@@ -89,24 +94,53 @@ const fn build_crc_table() -> [u32; 256] {
             };
             j += 1;
         }
-        // lint: index-ok (i < 256, the table length, by the loop bound)
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1usize;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            // lint: cast-ok (masked to 8 bits, fits usize)
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
 /// CRC32 (IEEE) of `bytes` — the per-section checksum of the format.
+///
+/// Slicing-by-8: each 8-byte block costs eight independent table lookups
+/// instead of eight dependent ones; the remainder runs byte at a time.
+/// The result is bit-identical to the bytewise algorithm.
 #[must_use]
+// lint: index-ok (every table index is a u8 widened to usize, < 256)
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        // lint: cast-ok (masked to 8 bits, fits usize)
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        // lint: index-ok (idx < 256 by the & 0xFF mask)
-        crc = CRC_TABLE[idx] ^ (crc >> 8);
+    let mut blocks = bytes.chunks_exact(8);
+    for block in &mut blocks {
+        let &[b0, b1, b2, b3, b4, b5, b6, b7] = block else {
+            continue;
+        };
+        let [c0, c1, c2, c3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        crc = t[7][usize::from(c0)]
+            ^ t[6][usize::from(c1)]
+            ^ t[5][usize::from(c2)]
+            ^ t[4][usize::from(c3)]
+            ^ t[3][usize::from(b4)]
+            ^ t[2][usize::from(b5)]
+            ^ t[1][usize::from(b6)]
+            ^ t[0][usize::from(b7)];
+    }
+    for &b in blocks.remainder() {
+        let [low, ..] = (crc ^ u32::from(b)).to_le_bytes();
+        crc = t[0][usize::from(low)] ^ (crc >> 8);
     }
     !crc
 }
@@ -115,12 +149,35 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Encoding.
 // ---------------------------------------------------------------------------
 
-fn put_section(out: &mut Vec<u8>, tag: [u8; 4], payload: &[u8]) {
+/// Opens a section in place: writes the tag and a length placeholder and
+/// returns where the payload starts. The caller serializes the payload
+/// straight into `out`, then seals it with [`end_section`] — no
+/// intermediate payload buffer.
+fn begin_section(out: &mut Vec<u8>, tag: [u8; 4]) -> usize {
     out.extend_from_slice(&tag);
+    out.extend_from_slice(&0u64.to_le_bytes());
+    out.len()
+}
+
+/// Seals the section opened at `start`: patches its length prefix and
+/// appends the payload's CRC32.
+fn end_section(out: &mut Vec<u8>, start: usize) {
+    let payload = out.get(start..).unwrap_or_default();
     // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    let len = (payload.len() as u64).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    if let Some(prefix) = out.get_mut(start.saturating_sub(8)..start) {
+        prefix.copy_from_slice(&len);
+    }
+    out.extend_from_slice(&crc);
+}
+
+/// A file's magic and version header, with room for `payload_bytes` more.
+fn container(version: u32, payload_bytes: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(12 + payload_bytes);
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&version.to_le_bytes());
+    out
 }
 
 /// The single arm site of the `serve/snapshot_load` seam; both readers
@@ -185,30 +242,32 @@ pub fn write_shard(path: &Path, shard: &ShardRecord) -> Result<(), ServeError> {
         });
     }
 
-    let mut meta = Vec::with_capacity(24);
+    let (labels, words) = (&shard.labels, shard.bank.raw_words());
+    // Three sections of 16 envelope bytes around 24 + 4·rows + 8·words.
+    let mut out = container(
+        UNCHANGED_LAYOUT_VERSION,
+        3 * 16 + 24 + labels.len() * 4 + words.len() * 8,
+    );
+    let meta = begin_section(&mut out, TAG_META);
     // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    meta.extend_from_slice(&(shard.bank.dim().get() as u64).to_le_bytes());
+    out.extend_from_slice(&(shard.bank.dim().get() as u64).to_le_bytes());
     // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    meta.extend_from_slice(&(shard.bank.n_rows() as u64).to_le_bytes());
-    meta.extend_from_slice(&shard.shard_index.to_le_bytes());
-    meta.extend_from_slice(&shard.n_shards.to_le_bytes());
+    out.extend_from_slice(&(shard.bank.n_rows() as u64).to_le_bytes());
+    out.extend_from_slice(&shard.shard_index.to_le_bytes());
+    out.extend_from_slice(&shard.n_shards.to_le_bytes());
+    end_section(&mut out, meta);
 
-    let mut labels = Vec::with_capacity(shard.labels.len() * 4);
-    for &label in &shard.labels {
-        labels.extend_from_slice(&label.to_le_bytes());
+    let section = begin_section(&mut out, TAG_LABELS);
+    for &label in labels {
+        out.extend_from_slice(&label.to_le_bytes());
     }
+    end_section(&mut out, section);
 
-    let mut bank = Vec::with_capacity(shard.bank.raw_words().len() * 8);
-    for &word in shard.bank.raw_words() {
-        bank.extend_from_slice(&word.to_le_bytes());
+    let section = begin_section(&mut out, TAG_BANK);
+    for &word in words {
+        out.extend_from_slice(&word.to_le_bytes());
     }
-
-    let mut out = Vec::with_capacity(16 + meta.len() + labels.len() + bank.len() + 48);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&UNCHANGED_LAYOUT_VERSION.to_le_bytes());
-    put_section(&mut out, TAG_META, &meta);
-    put_section(&mut out, TAG_LABELS, &labels);
-    put_section(&mut out, TAG_BANK, &bank);
+    end_section(&mut out, section);
     write_atomic(path, &out)
 }
 
@@ -217,23 +276,24 @@ pub fn write_accums(path: &Path, accums: &ClassAccumulators) -> Result<(), Serve
     let _span = crate::obs::span("serve/snapshot_write");
     let (ones, totals) = accums.parts();
     let dim = accums.dim();
-    let mut payload = Vec::with_capacity(16 + totals.len() * 4 + ones.len() * dim.get() * 4);
+    let mut out = container(
+        UNCHANGED_LAYOUT_VERSION,
+        16 + 16 + totals.len() * 4 + ones.len() * dim.get() * 4,
+    );
+    let section = begin_section(&mut out, TAG_ACCUMS);
     // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    payload.extend_from_slice(&(dim.get() as u64).to_le_bytes());
+    out.extend_from_slice(&(dim.get() as u64).to_le_bytes());
     // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    payload.extend_from_slice(&(totals.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(totals.len() as u64).to_le_bytes());
     for &total in totals {
-        payload.extend_from_slice(&total.to_le_bytes());
+        out.extend_from_slice(&total.to_le_bytes());
     }
     for class_ones in ones {
         for &count in class_ones {
-            payload.extend_from_slice(&count.to_le_bytes());
+            out.extend_from_slice(&count.to_le_bytes());
         }
     }
-    let mut out = Vec::with_capacity(16 + payload.len() + 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&UNCHANGED_LAYOUT_VERSION.to_le_bytes());
-    put_section(&mut out, TAG_ACCUMS, &payload);
+    end_section(&mut out, section);
     write_atomic(path, &out)
 }
 
@@ -244,18 +304,16 @@ pub fn write_accums(path: &Path, accums: &ClassAccumulators) -> Result<(), Serve
 pub fn write_selection(path: &Path, selection: &BitSelection) -> Result<(), ServeError> {
     let _span = crate::obs::span("serve/snapshot_write");
     let indices = selection.indices();
-    let mut payload = Vec::with_capacity(16 + indices.len() * 4);
+    let mut out = container(VERSION, 16 + 16 + indices.len() * 4);
+    let section = begin_section(&mut out, TAG_SELECTION);
     // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    payload.extend_from_slice(&(selection.source_dim().get() as u64).to_le_bytes());
+    out.extend_from_slice(&(selection.source_dim().get() as u64).to_le_bytes());
     // lint: cast-ok (usize -> u64 widening on 64-bit targets)
-    payload.extend_from_slice(&(indices.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(indices.len() as u64).to_le_bytes());
     for &index in indices {
-        payload.extend_from_slice(&index.to_le_bytes());
+        out.extend_from_slice(&index.to_le_bytes());
     }
-    let mut out = Vec::with_capacity(16 + payload.len() + 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    put_section(&mut out, TAG_SELECTION, &payload);
+    end_section(&mut out, section);
     write_atomic(path, &out)
 }
 
@@ -631,11 +689,90 @@ mod tests {
         }
     }
 
+    /// Bytewise oracle: the reflected IEEE CRC32, one bit at a time.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// FNV-1a 64 — a pin on file bytes that does not depend on `crc32`.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // The canonical IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_oracle_at_every_length_and_offset() {
+        let mut rng = SplitMix64::new(0xC3C3);
+        let buf: Vec<u8> = (0..4_096 + 8).map(|_| rng.next_u64() as u8).collect();
+        // Every length, each at an unaligned start (1..=7), and every start
+        // for the lengths that straddle at most a few 8-byte blocks.
+        let cases = (0..=4_096)
+            .map(|len| (len, 1 + len % 7))
+            .chain((0..=64).flat_map(|len| (0..8).map(move |offset| (len, offset))));
+        for (len, offset) in cases {
+            let bytes = &buf[offset..offset + len];
+            assert_eq!(
+                crc32(bytes),
+                crc32_bytewise(bytes),
+                "len {len} offset {offset}"
+            );
+        }
+    }
+
+    #[test]
+    fn encoded_files_are_byte_identical_to_the_pinned_format() {
+        // FNV-1a pins of a fixed-seed shard, accumulator and selection file
+        // as the bytewise-CRC writers produced them: a faster checksum or
+        // writer must not change a single byte on disk.
+        let dir = scratch_dir("pinned");
+        let dim = Dim::new(1000);
+        let mut rng = SplitMix64::new(2024);
+        let hvs: Vec<_> = (0..37)
+            .map(|_| BinaryHypervector::random(dim, &mut rng))
+            .collect();
+        let shard = ShardRecord {
+            shard_index: 1,
+            n_shards: 3,
+            labels: (0..37).map(|i| (i * 7 % 3) as u32).collect(),
+            bank: BitMatrix::from_hypervectors(&hvs).unwrap(),
+        };
+        let mut acc = ClassAccumulators::new(dim);
+        for (i, hv) in hvs.iter().enumerate() {
+            acc.grow(i * 7 % 3);
+            acc.add(i * 7 % 3, hv, 1);
+        }
+        let selection = BitSelection::random(Dim::new(10_050), 2_000, 17).unwrap();
+        write_shard(&dir.join("s"), &shard).unwrap();
+        write_accums(&dir.join("a"), &acc).unwrap();
+        write_selection(&dir.join("b"), &selection).unwrap();
+        for (file, len, pin) in [
+            ("s", 4_968, 0xc6b4_15ec_dfd4_e55a_u64),
+            ("a", 12_056, 0xd035_3a81_dea4_634e),
+            ("b", 8_044, 0xd43c_9eb0_02ba_3c45),
+        ] {
+            let bytes = fs::read(dir.join(file)).unwrap();
+            assert_eq!((bytes.len(), fnv1a(&bytes)), (len, pin), "file {file}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! nothing else; the holographic representation keeps nearest-neighbour
 //! predictions usable as long as any shard survives.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -63,6 +64,11 @@ pub struct RecoveryReport {
     /// Whether the class-accumulator file was recovered; centroid
     /// predictions are unavailable without it, k-NN is unaffected.
     pub accumulators_recovered: bool,
+    /// Whether the recovered accumulators disagreed with the surviving
+    /// rows — after a quarantine, or a crash between a shard write and the
+    /// accumulator write — and were rebuilt from the survivors, so the
+    /// centroids describe exactly the rows being served.
+    pub accumulators_rebuilt: bool,
     /// Whether a distillation selection was recovered (format v2+); a
     /// missing, corrupt or dimensionally inconsistent selection file
     /// degrades to `false` without affecting retrieval.
@@ -332,16 +338,18 @@ impl HvStore {
         }
         // Validate everything up front: dimensionalities (gathering
         // full-width records when a selection allows it) and label width.
-        let mut rows: Vec<BinaryHypervector> = Vec::with_capacity(records.len());
+        // Records already at the store's width are borrowed, so each row is
+        // copied exactly once, into its shard.
+        let mut rows: Vec<Cow<'_, BinaryHypervector>> = Vec::with_capacity(records.len());
         for hv in records {
             if hv.dim() == self.dim {
-                rows.push(hv.clone());
+                rows.push(Cow::Borrowed(hv));
             } else if let Some(selection) = self
                 .selection
                 .as_ref()
                 .filter(|s| s.source_dim() == hv.dim())
             {
-                rows.push(selection.gather_hypervector(hv)?);
+                rows.push(Cow::Owned(selection.gather_hypervector(hv)?));
             } else {
                 return Err(ServeError::Hdc(hyperfex_hdc::HdcError::DimensionMismatch {
                     left: hv.dim().get(),
@@ -374,15 +382,10 @@ impl HvStore {
                     detail: "no open shard after roll".to_string(),
                 });
             };
-            let room = self.shard_capacity - open.bank.n_rows();
-            let take = room.min(rows.len() - cursor);
-            let mut words =
-                Vec::with_capacity((open.bank.n_rows() + take) * self.dim.words());
-            words.extend_from_slice(open.bank.raw_words());
+            let take = (self.shard_capacity - open.bank.n_rows()).min(rows.len() - cursor);
             for hv in &rows[cursor..cursor + take] {
-                words.extend_from_slice(hv.words());
+                open.bank.push_row(hv)?;
             }
-            open.bank = BitMatrix::from_words(open.bank.n_rows() + take, self.dim, words)?;
             open.labels
                 .extend_from_slice(&label_u32[cursor..cursor + take]);
             self.dirty.insert(open.shard_index);
@@ -390,7 +393,6 @@ impl HvStore {
         }
         if let Some(accums) = &mut self.accums {
             for (hv, &label) in rows.iter().zip(labels) {
-                accums.check_dim(hv)?;
                 accums.grow(label);
                 accums.add(label, hv, 1);
             }
@@ -526,6 +528,13 @@ impl HvStore {
     /// [`HvStore::predict_batch`]); the report's accounting always
     /// balances.
     ///
+    /// The recovered accumulators must describe the rows being served: when
+    /// their per-class totals disagree with the surviving shards' label
+    /// counts (a quarantined shard, or a crash between a shard write and
+    /// the accumulator write), they are rebuilt from the survivors in one
+    /// pass and the report sets `accumulators_rebuilt`. A clean reopen
+    /// keeps the file's accumulators as they are.
+    ///
     /// The shard capacity is not persisted: the reopened store infers the
     /// append stride from the widest recovered shard, which equals the
     /// configured capacity once any shard has filled but undershoots it
@@ -621,16 +630,25 @@ impl HvStore {
             _ => None,
         };
 
+        let dim = consensus.map_or_else(|| Dim::try_new(1), |(dim, _)| Ok(dim))?;
+        let shards: Vec<ShardRecord> = survivors.into_values().collect();
+        let stale = accums
+            .as_ref()
+            .is_some_and(|acc| !Self::accumulators_match(acc, dim, &shards));
+        let accums = match accums {
+            Some(acc) if stale => Self::accumulate(dim, acc.n_classes(), &shards),
+            kept => kept,
+        };
+
         let report = RecoveryReport {
             total_shards,
-            kept: survivors.keys().copied().collect(),
+            kept: shards.iter().map(|s| s.shard_index).collect(),
             quarantined,
             accumulators_recovered: accums.is_some(),
+            accumulators_rebuilt: stale && accums.is_some(),
             selection_recovered: selection.is_some(),
         };
         obs::counter_add("serve/shards_quarantined", report.quarantined.len() as u64);
-        let dim = consensus.map_or_else(|| Dim::try_new(1), |(dim, _)| Ok(dim))?;
-        let shards: Vec<ShardRecord> = survivors.into_values().collect();
         // Appends continue at the layout's natural stride: the widest
         // recovered shard (1 when nothing survived). This undershoots the
         // configured capacity when no shard ever filled — see the doc
@@ -647,6 +665,51 @@ impl HvStore {
             },
             report,
         ))
+    }
+
+    /// Whether `accums` counts exactly the rows of `shards`: the store's
+    /// width, and per class a total equal to the number of rows carrying
+    /// that label (every row enters its class with weight 1). This is the
+    /// cheap check recovery runs; it cannot tell apart two row sets with
+    /// identical per-class counts.
+    fn accumulators_match(accums: &ClassAccumulators, dim: Dim, shards: &[ShardRecord]) -> bool {
+        let (_, totals) = accums.parts();
+        if accums.dim() != dim {
+            return false;
+        }
+        let mut counts = vec![0i64; totals.len()];
+        for &label in shards.iter().flat_map(|s| &s.labels) {
+            match usize::try_from(label).ok().and_then(|l| counts.get_mut(l)) {
+                Some(count) => *count += 1,
+                None => return false,
+            }
+        }
+        counts.iter().zip(totals).all(|(&c, &t)| c == i64::from(t))
+    }
+
+    /// Class accumulators over every row of `shards`, in one pass — what a
+    /// build over the same rows would hold.
+    ///
+    /// Labels come from disk and size the class set, so a label at or
+    /// above both the accumulator file's class count and the surviving row
+    /// count is refused rather than allocated for: the rebuild returns
+    /// `None` and centroids degrade as for a corrupt accumulator file.
+    fn accumulate(
+        dim: Dim,
+        known_classes: usize,
+        shards: &[ShardRecord],
+    ) -> Option<ClassAccumulators> {
+        let n_rows: usize = shards.iter().map(|s| s.labels.len()).sum();
+        let bound = known_classes.max(n_rows);
+        let mut accums = ClassAccumulators::new(dim);
+        for shard in shards {
+            for (row, &label) in shard.labels.iter().enumerate() {
+                let label = usize::try_from(label).ok().filter(|&l| l < bound)?;
+                accums.grow(label);
+                accums.add(label, &shard.bank.row_hypervector(row), 1);
+            }
+        }
+        Some(accums)
     }
 
     /// Predicts a label for every query by k-nearest-neighbour majority
@@ -776,6 +839,102 @@ mod tests {
         assert_eq!(report.kept, vec![0, 1, 2, 3]);
         assert!(report.quarantined.is_empty());
         assert!(report.accumulators_recovered);
+        assert!(
+            !report.accumulators_rebuilt,
+            "a clean reopen must not rebuild"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn appends_in_any_batch_size_build_the_batch_built_store() {
+        // 60 rows at capacity 8 is 8 shards (the last holds 4), exactly
+        // how build() slices them into 8 shards.
+        let cohort = small_cohort(14);
+        let built = HvStore::build(&cohort.records, &cohort.labels, 8).unwrap();
+        for batch in [1, 7, 8] {
+            let mut store = HvStore::new_empty(Dim::new(256), 8).unwrap();
+            for (records, labels) in cohort
+                .records
+                .chunks(batch)
+                .zip(cohort.labels.chunks(batch))
+            {
+                store.append_batch(records, labels).unwrap();
+            }
+            assert_eq!(store, built, "batches of {batch}");
+        }
+    }
+
+    #[test]
+    fn recovery_rebuilds_accumulators_over_the_surviving_rows() {
+        let dir = scratch_dir("rebuild");
+        let cohort = small_cohort(15);
+        let mut store = HvStore::build(&cohort.records, &cohort.labels, 4).unwrap();
+        store.save(&dir).unwrap();
+        std::fs::write(dir.join(snapshot::shard_file_name(1)), b"junk").unwrap();
+
+        let (reopened, report) = HvStore::open(&dir).unwrap();
+        assert_eq!(report.kept, vec![0, 2, 3]);
+        assert!(report.accumulators_recovered);
+        assert!(report.accumulators_rebuilt);
+        // Shard 1 held rows 15..30 of the 4 × 15 layout.
+        let survivors: Vec<usize> = (0..15).chain(30..60).collect();
+        let records: Vec<BinaryHypervector> = survivors
+            .iter()
+            .map(|&i| cohort.records[i].clone())
+            .collect();
+        let labels: Vec<usize> = survivors.iter().map(|&i| cohort.labels[i]).collect();
+        let fresh = HvStore::build(&records, &labels, 3).unwrap();
+        assert_eq!(reopened.accumulators(), fresh.accumulators());
+        assert_ne!(reopened.accumulators(), store.accumulators());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_rebuilds_accumulators_a_crash_left_behind() {
+        // A crash between the shard writes and the accumulator write
+        // leaves the previous generation's accumulator file beside newer
+        // shards; recovery must count the rows the shards hold.
+        let dir = scratch_dir("stale-accums");
+        let cohort = small_cohort(16);
+        let mut store = HvStore::new_empty(Dim::new(256), 16).unwrap();
+        store
+            .append_batch(&cohort.records[..20], &cohort.labels[..20])
+            .unwrap();
+        store.save_dirty(&dir).unwrap();
+        let old_accums = std::fs::read(dir.join(snapshot::ACCUMS_FILE_NAME)).unwrap();
+        store
+            .append_batch(&cohort.records[20..40], &cohort.labels[20..40])
+            .unwrap();
+        store.save_dirty(&dir).unwrap();
+        std::fs::write(dir.join(snapshot::ACCUMS_FILE_NAME), old_accums).unwrap();
+
+        let (reopened, report) = HvStore::open(&dir).unwrap();
+        assert!(report.quarantined.is_empty());
+        assert!(report.accumulators_rebuilt);
+        assert_eq!(reopened, store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_refuses_to_size_accumulators_from_an_absurd_label() {
+        // A checksum-valid shard whose label no ingest could have written
+        // densely must not size the rebuilt class set: centroids degrade,
+        // k-NN keeps serving.
+        let dir = scratch_dir("absurd-label");
+        let cohort = small_cohort(17);
+        let mut store = HvStore::build(&cohort.records, &cohort.labels, 3).unwrap();
+        store.save(&dir).unwrap();
+        let mut shard = store.shards[0].clone();
+        shard.labels[0] = u32::MAX;
+        snapshot::write_shard(&dir.join(snapshot::shard_file_name(0)), &shard).unwrap();
+
+        let (reopened, report) = HvStore::open(&dir).unwrap();
+        assert!(report.quarantined.is_empty());
+        assert!(!report.accumulators_recovered);
+        assert!(!report.accumulators_rebuilt);
+        assert!(reopened.accumulators().is_none());
+        assert!(reopened.predict_batch(&cohort.records[..2], 1).is_ok());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
